@@ -1,49 +1,37 @@
 //! Batched struct-of-arrays evaluation engine for the search inner loop.
 //!
-//! The scalar path re-derives the full mapping geometry, allocates a fresh
-//! loop nest and footprint tables, and materializes `AccessProfile`
-//! breakpoints for every candidate — about 1.2k allocations per evaluated
-//! mapping, most of them for candidates the branch-and-bound prunes anyway.
-//! This module restructures the inner loop around three ideas:
+//! Instead of decomposing and materializing `AccessProfile` breakpoints for
+//! every candidate (about 1.2k allocations per evaluated mapping, mostly
+//! for candidates the branch-and-bound prunes anyway), a chunk is scanned
+//! in two phases over a reusable, thread-locally pooled [`BatchScratch`]:
 //!
-//! 1. **Geometry memoization.** The enumerator assigns every candidate a
-//!    dense `geom_id`; the up-to-8 order/rotation siblings of one distinct
-//!    `(package, chiplet, tile, core_plane)` geometry share the id. Phase A
-//!    resolves [`mapping_geometry`] once per id and replays the cached
-//!    result (a `Copy` struct) for the siblings — the dominant cost of the
-//!    scalar path, paid 8x less often.
-//! 2. **Struct-of-arrays floor lanes.** Per chunk, candidate status and
-//!    floor scores live in flat lanes inside a reusable [`BatchScratch`];
-//!    the floor math goes through [`Floors::from_volumes`], the same `f64`
-//!    path the scalar search uses, so prune decisions are bit-identical.
-//! 3. **Zero-allocation evaluation.** Survivors build their nest into a
-//!    reusable [`NestScratch`] and resolve each data path with the
-//!    streaming [`c3p_penalty_multiplier`] walk instead of materializing
-//!    breakpoint vectors. Scratch buffers come from a thread-local pool
-//!    ([`scratch_for`]), so a steady-state search allocates nothing.
+//! 1. **Phase A** resolves each candidate's geometry through the shared
+//!    [`GeomMemo`] (one `mapping_geometry` per distinct `geom_id`, replayed
+//!    for its up-to-8 order/rotation siblings) and fills flat status and
+//!    floor lanes with [`Floors::from_volumes`], the same `f64` path the
+//!    scalar search uses, so prune decisions are bit-identical.
+//! 2. **Phase B** prunes against the shared incumbent in candidate order
+//!    and evaluates survivors with the shared C³P kernel ([`Paths`]) at the
+//!    machine's capacities, with zero allocation.
 //!
 //! Counter semantics match the scalar path exactly at one thread:
-//! `DecomposeCalls` and the reject counters are bumped per *candidate*
-//! (memo hits replay the cached error through [`MappingError::counter`]),
+//! `DecomposeCalls` and the reject counters are bumped per *candidate*,
 //! `Evaluations`/`BestImprovements`/penalty counters fire per evaluated
 //! survivor, and prune checks observe the shared incumbent at the same
 //! point in candidate order as the scalar scan.
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{
-    mapping_geometry, Dim, LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, Volumes,
-};
+use baton_mapping::{Mapping, MappingGeometry, NestScratch};
 use baton_model::ConvSpec;
 use baton_parallel::AtomicBest;
 use baton_telemetry::{count, Counter};
 
 use crate::bounds::Floors;
-use crate::evaluate::{price, runtime_bound, AccessCounts, Evaluation};
+use crate::evaluate::{price, runtime_bound, Evaluation};
+use crate::kernel::{GeomMemo, Paths, Pooled};
 use crate::search::Objective;
-use crate::walk::c3p_penalty_multiplier;
 
 /// Reusable struct-of-arrays buffers for one search worker.
 ///
@@ -51,10 +39,9 @@ use crate::walk::c3p_penalty_multiplier;
 /// so a worker that processes many chunks (or a calling thread that runs
 /// many searches) reaches a zero-allocation steady state.
 #[derive(Debug, Default)]
-pub struct BatchScratch {
-    /// Geometry memo, indexed by the enumerator's dense `geom_id`. One
-    /// entry serves all order/rotation siblings of a distinct geometry.
-    geoms: Vec<Option<Result<MappingGeometry, MappingError>>>,
+pub(crate) struct BatchScratch {
+    /// Geometry memo of the current search.
+    pub(crate) geoms: GeomMemo,
     /// Per-candidate lane: `1` if the geometry resolved, `0` if rejected.
     status: Vec<u8>,
     /// Per-candidate lane: the branch-and-bound floor score (lower bound).
@@ -65,45 +52,17 @@ pub struct BatchScratch {
 
 /// Aggregated result of one chunk of candidates.
 #[derive(Debug, Default)]
-pub struct ChunkOutcome {
+pub(crate) struct ChunkOutcome {
     /// Best `(score, evaluation)` in this chunk, earliest candidate wins
     /// score ties (the cross-chunk ordered reduce extends that rule).
-    pub best: Option<(f64, Evaluation)>,
+    pub(crate) best: Option<(f64, Evaluation)>,
     /// Candidates that were evaluated (decomposable, not pruned).
-    pub feasible: u64,
+    pub(crate) feasible: u64,
     /// Candidates discarded because their floor exceeded the incumbent.
-    pub pruned: u64,
+    pub(crate) pruned: u64,
 }
 
 impl BatchScratch {
-    /// Prepares the scratch for a search whose enumeration produced
-    /// `n_geoms` distinct geometries: invalidates the memo (capacity kept).
-    fn reset(&mut self, n_geoms: usize) {
-        self.geoms.clear();
-        self.geoms.resize(n_geoms, None);
-    }
-
-    /// Memo lookup with per-candidate counter replay: bumps
-    /// `DecomposeCalls` always and the specific reject counter on `Err`,
-    /// exactly like one [`baton_mapping::decompose`] call would.
-    fn geometry(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        mapping: &Mapping,
-        geom_id: u32,
-    ) -> Result<MappingGeometry, MappingError> {
-        count(Counter::DecomposeCalls);
-        let slot = &mut self.geoms[geom_id as usize];
-        let res = *slot.get_or_insert_with(|| mapping_geometry(layer, arch, mapping));
-        if baton_telemetry::enabled() {
-            if let Err(e) = res {
-                count(e.counter());
-            }
-        }
-        res
-    }
-
     /// Branch-and-bound scan of one candidate chunk.
     ///
     /// Phase A fills the status/floor lanes (geometry memo + shared floor
@@ -111,7 +70,7 @@ impl BatchScratch {
     /// the shared `incumbent` and evaluating survivors with the streaming
     /// resolver. `geom_ids[i]` must be the enumerator's id for `cands[i]`.
     #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub fn evaluate_chunk(
+    pub(crate) fn evaluate_chunk(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
@@ -125,7 +84,7 @@ impl BatchScratch {
         self.status.clear();
         self.floor_score.clear();
         for (m, &gid) in cands.iter().zip(geom_ids) {
-            match self.geometry(layer, arch, m, gid) {
+            match self.geoms.get(layer, arch, m, gid) {
                 Err(_) => {
                     self.status.push(0);
                     self.floor_score.push(f64::INFINITY);
@@ -157,21 +116,8 @@ impl BatchScratch {
                 out.pruned += 1;
                 continue;
             }
-            let geom = self.geoms[geom_ids[i] as usize]
-                .expect("phase A resolved this id")
-                .expect("status 1 means the geometry is Ok");
-            let (v, rotate_inputs, rotate_weights) = geom.volumes_for(m.rotation);
-            let ev = evaluate_streaming(
-                &mut self.nest,
-                layer,
-                arch,
-                tech,
-                m,
-                &geom,
-                &v,
-                rotate_inputs,
-                rotate_weights,
-            );
+            let geom = self.geoms.resolved(geom_ids[i]);
+            let ev = evaluate_streaming(&mut self.nest, layer, arch, tech, m, &geom);
             let score = objective.score(&ev, tech);
             let prev = incumbent.offer(score);
             if score < prev {
@@ -188,10 +134,9 @@ impl BatchScratch {
     }
 
     /// Evaluates every decomposable candidate in the chunk (no pruning —
-    /// the k-best ranking needs all feasible scores), appending
-    /// `(score, evaluation)` pairs to `out` in candidate order.
-    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub fn evaluate_all(
+    /// the k-best ranking needs all feasible scores), returning
+    /// `(score, evaluation)` pairs in candidate order.
+    pub(crate) fn evaluate_all(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
@@ -199,35 +144,23 @@ impl BatchScratch {
         objective: Objective,
         cands: &[Mapping],
         geom_ids: &[u32],
-        out: &mut Vec<(f64, Evaluation)>,
-    ) {
+    ) -> Vec<(f64, Evaluation)> {
         debug_assert_eq!(cands.len(), geom_ids.len());
+        let mut out = Vec::new();
         for (m, &gid) in cands.iter().zip(geom_ids) {
-            let Ok(geom) = self.geometry(layer, arch, m, gid) else {
-                continue;
-            };
-            let (v, rotate_inputs, rotate_weights) = geom.volumes_for(m.rotation);
-            let ev = evaluate_streaming(
-                &mut self.nest,
-                layer,
-                arch,
-                tech,
-                m,
-                &geom,
-                &v,
-                rotate_inputs,
-                rotate_weights,
-            );
-            out.push((objective.score(&ev, tech), ev));
+            if let Ok(geom) = self.geoms.get(layer, arch, m, gid) {
+                let ev = evaluate_streaming(&mut self.nest, layer, arch, tech, m, &geom);
+                out.push((objective.score(&ev, tech), ev));
+            }
         }
+        out
     }
 }
 
-/// Evaluates one survivor with zero allocation: nest into the scratch,
-/// each capacity-dependent path resolved by the streaming penalty walk.
-/// Bit-identical to `evaluate_decomposition` + `resolve` on the same
-/// mapping (pinned by the equivalence proptest in `tests/`).
-#[allow(clippy::too_many_arguments)]
+/// Evaluates one survivor with zero allocation: nest into the scratch, the
+/// five capacity-dependent paths resolved by the shared kernel at the
+/// machine's capacities. Bit-identical to `evaluate_decomposition` on the
+/// same mapping (pinned by the equivalence proptest in `tests/`).
 fn evaluate_streaming(
     nest: &mut NestScratch,
     layer: &ConvSpec,
@@ -235,90 +168,15 @@ fn evaluate_streaming(
     tech: &Technology,
     mapping: &Mapping,
     geom: &MappingGeometry,
-    v: &Volumes,
-    rotate_inputs: bool,
-    rotate_weights: bool,
 ) -> Evaluation {
     count(Counter::Evaluations);
-    geom.build_nest_into(layer, mapping, rotate_inputs, rotate_weights, nest);
-    let loops = &nest.loops;
-    let n_p = u64::from(geom.n_p()).max(1);
-    let rot_pos = loops.iter().position(|l| l.level == LoopLevel::Rotation);
-    // Home-slice tier: above the rotation loop only `1/N_P` of the shared
-    // working set must stay resident to avoid DRAM reloads (the slicing
-    // rule of `LayerProfiles::build`, applied lazily via the closure).
-    let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-    let sliced = |fp: &[u64], rotated: bool, i: usize| -> u64 {
-        if rotated && i >= cut {
-            fp[i] / n_p
-        } else {
-            fp[i]
-        }
-    };
-
-    let a_l1_cap = arch.chiplet.core.a_l1_bytes * 8;
-    let a_l2_cap = arch.chiplet.a_l2_bytes * 8;
-    let w_eff_cap = geom.effective_w_l1_bits();
-
-    let dram_input_bits = v.dram_input_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| sliced(&nest.chiplet_input, rotate_inputs, i),
-        Dim::input_relevant,
-        a_l2_cap,
-    ));
-    let d2d_input = v.d2d_input_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.chiplet_input[i],
-        Dim::input_relevant,
-        a_l2_cap,
-    ));
-    let a_l2_fill = dram_input_bits + d2d_input;
-    let a_l2_read = v.a_l2_read_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.core_input[i],
-        Dim::input_relevant,
-        a_l1_cap,
-    ));
-    let a_l1_fill = a_l2_read * u64::from(geom.weight_streams());
-
-    let dram_weight_bits = v.dram_weight_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| sliced(&nest.stream_weight, rotate_weights, i),
-        Dim::weight_relevant,
-        w_eff_cap,
-    ));
-    let d2d_weight = v.d2d_weight_base.saturating_mul(c3p_penalty_multiplier(
-        loops,
-        |i| nest.stream_weight[i],
-        Dim::weight_relevant,
-        w_eff_cap,
-    ));
-    let w_l1_fill = dram_weight_bits + d2d_weight;
-
-    if baton_telemetry::enabled() {
-        if dram_input_bits > v.dram_input_base {
-            count(Counter::PenaltyAL2);
-        }
-        if a_l2_read > v.a_l2_read_base {
-            count(Counter::PenaltyAL1);
-        }
-        if dram_weight_bits > v.dram_weight_base {
-            count(Counter::PenaltyWL1);
-        }
-    }
-
-    let access = AccessCounts {
-        dram_input_bits,
-        dram_weight_bits,
-        dram_output_bits: v.dram_output,
-        d2d_bits: d2d_input + d2d_weight,
-        a_l2_bits: a_l2_fill + a_l2_read,
-        o_l2_bits: v.o_l2_write + v.o_l2_read,
-        a_l1_bits: a_l1_fill + v.a_l1_read,
-        w_l1_bits: w_l1_fill + v.w_l1_read,
-        o_l1_rmw_bits: v.o_l1_rmw,
-        mac_ops: v.mac_ops,
-    };
+    let paths = Paths::build(nest, layer, mapping, geom);
+    let resolved = paths.resolve(
+        arch.chiplet.core.a_l1_bytes * 8,
+        arch.chiplet.a_l2_bytes * 8,
+        geom.effective_w_l1_bits(),
+    );
+    let access = resolved.access_counts(&paths.v, u64::from(geom.weight_streams()));
     let energy = price(&access, arch, tech);
     let (cycles, utilization) = runtime_bound(geom.compute_cycles(), &access, arch, tech);
     Evaluation {
@@ -339,47 +197,13 @@ thread_local! {
     static SCRATCH_POOL: RefCell<Vec<BatchScratch>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A [`BatchScratch`] checked out of the thread-local pool; returns itself
-/// on drop.
-#[derive(Debug)]
-pub struct PooledScratch {
-    inner: Option<BatchScratch>,
-}
-
-impl Deref for PooledScratch {
-    type Target = BatchScratch;
-    fn deref(&self) -> &BatchScratch {
-        self.inner.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledScratch {
-    fn deref_mut(&mut self) -> &mut BatchScratch {
-        self.inner.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledScratch {
-    fn drop(&mut self) {
-        if let Some(s) = self.inner.take() {
-            // `try_with`: the pool may already be gone during thread
-            // teardown, in which case the scratch is simply freed.
-            let _ = SCRATCH_POOL.try_with(|p| p.borrow_mut().push(s));
-        }
-    }
-}
-
 /// Checks a scratch out of the thread-local pool (allocating a fresh one
-/// only if the pool is empty) and resets its geometry memo for a search
-/// whose enumeration produced `n_geoms` distinct geometries.
-pub fn scratch_for(n_geoms: usize) -> PooledScratch {
-    let mut s = SCRATCH_POOL
-        .try_with(|p| p.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    s.reset(n_geoms);
-    PooledScratch { inner: Some(s) }
+/// only if the pool is empty) with its geometry memo cleared for a new
+/// search.
+pub(crate) fn scratch_for() -> Pooled<BatchScratch> {
+    let mut s = Pooled::take(&SCRATCH_POOL);
+    s.geoms.clear();
+    s
 }
 
 #[cfg(test)]
@@ -396,11 +220,11 @@ mod tests {
         let tech = Technology::paper_16nm();
         for (bucket, layer) in zoo::representative_layers(224) {
             let (mut cands, mut ids) = (Vec::new(), Vec::new());
-            let stats = enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-            let mut scratch = scratch_for(stats.geoms);
+            enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
+            let mut scratch = scratch_for();
             let mut checked = 0u32;
             for (m, &gid) in cands.iter().zip(&ids).take(512) {
-                let Ok(geom) = scratch.geometry(&layer, &arch, m, gid) else {
+                let Ok(geom) = scratch.geoms.get(&layer, &arch, m, gid) else {
                     assert!(
                         baton_mapping::decompose(&layer, &arch, m).is_err(),
                         "{bucket}"
@@ -408,18 +232,7 @@ mod tests {
                     continue;
                 };
                 let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-                let (v, ri, rw) = geom.volumes_for(m.rotation);
-                let got = evaluate_streaming(
-                    &mut scratch.nest,
-                    &layer,
-                    &arch,
-                    &tech,
-                    m,
-                    &geom,
-                    &v,
-                    ri,
-                    rw,
-                );
+                let got = evaluate_streaming(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
                 let want = evaluate_decomposition(&d, &arch, &tech, m);
                 assert_eq!(got, want, "{bucket}: {m:?}");
                 checked += 1;
@@ -438,26 +251,15 @@ mod tests {
         let tech = Technology::paper_16nm();
         let layer = zoo::resnet50(224).layer("res2a_branch2b").cloned().unwrap();
         let (mut cands, mut ids) = (Vec::new(), Vec::new());
-        let stats = enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
-        let mut scratch = scratch_for(stats.geoms);
+        enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
+        let mut scratch = scratch_for();
         let mut penalized = 0u32;
         for (m, &gid) in cands.iter().zip(&ids).take(512) {
-            let Ok(geom) = scratch.geometry(&layer, &arch, m, gid) else {
+            let Ok(geom) = scratch.geoms.get(&layer, &arch, m, gid) else {
                 continue;
             };
             let d = baton_mapping::decompose(&layer, &arch, m).unwrap();
-            let (v, ri, rw) = geom.volumes_for(m.rotation);
-            let got = evaluate_streaming(
-                &mut scratch.nest,
-                &layer,
-                &arch,
-                &tech,
-                m,
-                &geom,
-                &v,
-                ri,
-                rw,
-            );
+            let got = evaluate_streaming(&mut scratch.nest, &layer, &arch, &tech, m, &geom);
             let want = resolve(&d, &LayerProfiles::build(&d), &arch);
             assert_eq!(got.access, want, "{m:?}");
             if want.dram_input_bits > d.volumes.dram_input_base {
@@ -469,11 +271,12 @@ mod tests {
 
     #[test]
     fn scratch_pool_round_trips() {
-        let a = scratch_for(16);
-        assert_eq!(a.geoms.len(), 16);
+        let mut a = scratch_for();
+        a.status.resize(16, 0);
+        a.floor_score.resize(16, 0.0);
         drop(a);
-        let b = scratch_for(4);
-        assert_eq!(b.geoms.len(), 4);
-        assert!(b.geoms.capacity() >= 16, "pool must keep capacity");
+        let b = scratch_for();
+        assert!(b.status.capacity() >= 16, "pool must keep capacity");
+        assert!(b.floor_score.capacity() >= 16, "pool must keep capacity");
     }
 }

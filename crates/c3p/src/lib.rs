@@ -28,11 +28,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
+mod batch;
 pub mod bounds;
 pub mod cache;
 pub mod energy;
 pub mod evaluate;
+mod kernel;
 pub mod profile;
 pub mod search;
 pub mod sensitivity;
@@ -40,7 +41,6 @@ pub mod sweep;
 pub mod verdict;
 pub mod walk;
 
-pub use batch::{scratch_for, BatchScratch, ChunkOutcome, PooledScratch};
 pub use bounds::{Floors, TrafficBounds};
 pub use cache::{search_layer_memo, SearchMemo, ShapeMemo};
 pub use energy::EnergyBreakdown;
@@ -48,6 +48,7 @@ pub use evaluate::{
     evaluate, evaluate_decomposition, price, resolve, resolve_at_capacities, runtime_bound,
     AccessCounts, Evaluation, LayerProfiles,
 };
+pub use kernel::Pooled;
 pub use profile::{AccessProfile, Breakpoint};
 pub use search::{
     search_layer, search_layer_k_best, search_layer_reference, search_layer_with, Objective,
@@ -56,4 +57,4 @@ pub use search::{
 pub use sensitivity::{knob_effects, Knob, KnobEffect};
 pub use sweep::{sweep_lanes_for, PooledLanes, SweepLanes};
 pub use verdict::{buffer_verdicts, BreakpointVerdict, BufferVerdict};
-pub use walk::{c3p_breakpoints, c3p_penalty_multiplier};
+pub use walk::c3p_breakpoints;

@@ -1,10 +1,10 @@
 //! Exhaustive per-layer mapping search (the post-design flow's inner loop).
 //!
 //! The search is a parallel branch-and-bound over the batched
-//! struct-of-arrays engine ([`crate::batch`]): candidates are enumerated
+//! struct-of-arrays engine (`crate::batch`): candidates are enumerated
 //! into reusable thread-local buffers, fanned out in chunks over
 //! [`baton_parallel::map_chunks`] workers that share one [`AtomicBest`]
-//! incumbent, and each worker's [`crate::batch::BatchScratch`] memoizes
+//! incumbent, and each worker's pooled batch scratch memoizes
 //! geometry per `geom_id` and prunes candidates whose
 //! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
 //! the incumbent. All mechanisms are exact — the floor never exceeds the
@@ -23,7 +23,7 @@ use baton_parallel::AtomicBest;
 use baton_telemetry::{count, count_n, span_labeled, Counter};
 use serde::{Deserialize, Serialize};
 
-use crate::batch;
+use crate::batch::{self, BatchScratch};
 use crate::evaluate::{evaluate_decomposition, Evaluation};
 
 /// Optimization objective for the mapping search.
@@ -118,15 +118,32 @@ thread_local! {
         const { Cell::new((Vec::new(), Vec::new())) };
 }
 
-/// Runs `f` with the thread-local enumeration buffers checked out (taken,
-/// then restored), so a panic inside `f` merely drops the buffers instead
-/// of poisoning anything.
-fn with_enum_buffers<R>(f: impl FnOnce(&mut Vec<Mapping>, &mut Vec<u32>) -> R) -> R {
+/// Enumerates `layer`'s candidates into the thread-local buffers and runs
+/// `f(scratch, candidates, geom_ids)` over them in chunks, on pooled batch
+/// scratches across the configured workers. Returns the candidate count
+/// and the chunk results in candidate order. The buffers are checked out
+/// (taken, then restored), so a panic inside `f` merely drops them.
+fn fan_out<R: Send>(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    opts: EnumOptions,
+    f: impl Fn(&mut BatchScratch, &[Mapping], &[u32]) -> R + Sync,
+) -> (usize, Vec<R>) {
     ENUM_BUFFERS.with(|cell| {
-        let (mut cands, mut ids) = cell.take();
-        let r = f(&mut cands, &mut ids);
-        cell.set((cands, ids));
-        r
+        let (mut cands, mut geom_ids) = cell.take();
+        enumerate_into(layer, arch, opts, &mut cands, &mut geom_ids);
+        let workers = baton_parallel::threads();
+        let chunk = baton_parallel::chunk_size(cands.len(), workers);
+        let out = baton_parallel::map_chunks(
+            &cands,
+            workers,
+            chunk,
+            batch::scratch_for,
+            |scratch, start, slice| f(scratch, slice, &geom_ids[start..start + slice.len()]),
+        );
+        let n = cands.len();
+        cell.set((cands, geom_ids));
+        (n, out)
     })
 }
 
@@ -144,70 +161,49 @@ pub fn search_layer_with(
 ) -> Result<Evaluation, SearchError> {
     let sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    with_enum_buffers(|cands, geom_ids| {
-        let stats = enumerate_into(layer, arch, opts, cands, geom_ids);
-        let n = cands.len();
-        let workers = baton_parallel::threads();
-        let chunk = baton_parallel::chunk_size(n, workers);
-        let incumbent = AtomicBest::new();
+    let incumbent = AtomicBest::new();
+    // Chunk outcomes come back in input order; each carries its own
+    // first-wins best, so the ordered reduce below recovers the global
+    // earliest-index argmin exactly like a sequential scan.
+    let (n, outcomes) = fan_out(layer, arch, opts, |scratch, cands, geom_ids| {
+        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, cands, geom_ids)
+    });
 
-        // Chunk outcomes come back in input order; each carries its own
-        // first-wins best, so the ordered reduce below recovers the global
-        // earliest-index argmin exactly like a sequential scan.
-        let outcomes = baton_parallel::map_chunks(
-            cands,
-            workers,
-            chunk,
-            || batch::scratch_for(stats.geoms),
-            |scratch, start, slice| {
-                scratch.evaluate_chunk(
-                    layer,
-                    arch,
-                    tech,
-                    objective,
-                    &incumbent,
-                    slice,
-                    &geom_ids[start..start + slice.len()],
-                )
-            },
-        );
-
-        let (mut feasible, mut pruned) = (0u64, 0u64);
-        let mut best: Option<(f64, Evaluation)> = None;
-        for o in outcomes {
-            feasible += o.feasible;
-            pruned += o.pruned;
-            if let Some((score, ev)) = o.best {
-                // Strict `<`: the earliest chunk (lowest candidate index)
-                // wins ties, exactly like the sequential scan.
-                if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                    best = Some((score, ev));
-                }
+    let (mut feasible, mut pruned) = (0u64, 0u64);
+    let mut best: Option<(f64, Evaluation)> = None;
+    for o in outcomes {
+        feasible += o.feasible;
+        pruned += o.pruned;
+        if let Some((score, ev)) = o.best {
+            // Strict `<`: the earliest chunk (lowest candidate index)
+            // wins ties, exactly like the sequential scan.
+            if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
+                best = Some((score, ev));
             }
         }
-        if baton_telemetry::enabled() {
-            count_n(Counter::SearchPruned, pruned);
-            count(if best.is_some() {
-                Counter::SearchesCompleted
-            } else {
-                Counter::SearchesFailed
-            });
-            let mut ev = baton_telemetry::event("search_layer")
-                .str("layer", layer.name())
-                .u64("candidates", n as u64)
-                .u64("feasible", feasible)
-                .u64("pruned", pruned)
-                .u64("dur_us", sp.elapsed_us());
-            if let Some((score, _)) = &best {
-                ev = ev.f64("best_score", *score);
-            }
-            ev.emit();
+    }
+    if baton_telemetry::enabled() {
+        count_n(Counter::SearchPruned, pruned);
+        count(if best.is_some() {
+            Counter::SearchesCompleted
+        } else {
+            Counter::SearchesFailed
+        });
+        let mut ev = baton_telemetry::event("search_layer")
+            .str("layer", layer.name())
+            .u64("candidates", n as u64)
+            .u64("feasible", feasible)
+            .u64("pruned", pruned)
+            .u64("dur_us", sp.elapsed_us());
+        if let Some((score, _)) = &best {
+            ev = ev.f64("best_score", *score);
         }
-        observe_search(objective, m_t0);
-        best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
-            layer: layer.name().to_string(),
-            candidates: n,
-        })
+        ev.emit();
+    }
+    observe_search(objective, m_t0);
+    best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
+        layer: layer.name().to_string(),
+        candidates: n,
     })
 }
 
@@ -271,42 +267,26 @@ pub fn search_layer_k_best(
 ) -> Result<Vec<Evaluation>, SearchError> {
     let _sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    with_enum_buffers(|cands, geom_ids| {
-        let stats = enumerate_into(layer, arch, EnumOptions::default(), cands, geom_ids);
-        let n = cands.len();
-        let workers = baton_parallel::threads();
-        let chunk = baton_parallel::chunk_size(n, workers);
-        let evaluated = baton_parallel::map_chunks(
-            cands,
-            workers,
-            chunk,
-            || batch::scratch_for(stats.geoms),
-            |scratch, start, slice| {
-                let mut out = Vec::new();
-                scratch.evaluate_all(
-                    layer,
-                    arch,
-                    tech,
-                    objective,
-                    slice,
-                    &geom_ids[start..start + slice.len()],
-                    &mut out,
-                );
-                out
-            },
-        );
-        let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
-        if scored.is_empty() {
-            return Err(SearchError {
-                layer: layer.name().to_string(),
-                candidates: n,
-            });
-        }
+    let (n, evaluated) = fan_out(
+        layer,
+        arch,
+        EnumOptions::default(),
+        |scratch, cands, ids| scratch.evaluate_all(layer, arch, tech, objective, cands, ids),
+    );
+    let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
+    let ranked = if scored.is_empty() {
+        Err(SearchError {
+            layer: layer.name().to_string(),
+            candidates: n,
+        })
+    } else {
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         scored.truncate(k.max(1));
-        observe_search(objective, m_t0);
         Ok(scored.into_iter().map(|(_, ev)| ev).collect())
-    })
+    };
+    // Failed searches are timed too, as in `search_layer_with`.
+    observe_search(objective, m_t0);
+    ranked
 }
 
 fn try_evaluate(

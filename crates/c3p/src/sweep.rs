@@ -1,40 +1,32 @@
 //! Streaming struct-of-arrays repricer for the pre-design memory sweep.
 //!
-//! The materialized sweep path builds a full [`LayerProfiles`] per candidate
-//! (five breakpoint vectors plus two sliced footprint copies — ~15
-//! allocations) and then re-scans the breakpoints at every `(A-L1, W-L1,
-//! A-L2)` grid cell. But a sweep unit only ever asks for accesses at the
-//! *rungs of its capacity ladders*: the profile's continuous capacity axis
-//! is wasted generality. This module resolves each candidate's
-//! capacity-dependent paths once per rung with the streaming
-//! [`c3p_penalty_multiplier`] walk — the same resolver the batched search
-//! engine uses — into flat struct-of-arrays lanes held in a pooled,
-//! thread-local [`SweepLanes`]. Repricing a design point then costs five
-//! lane lookups, the fixed [`AccessCounts`] assembly, and the energy/runtime
-//! models; steady-state sweep units allocate nothing.
+//! A sweep unit only ever asks for accesses at the *rungs of its capacity
+//! ladders*, so instead of building [`LayerProfiles`] per candidate (~15
+//! allocations) and re-scanning breakpoints at every `(A-L1, W-L1, A-L2)`
+//! grid cell, this module resolves each candidate's capacity-dependent
+//! paths once per rung with the shared C³P kernel (`kernel::Paths`) into
+//! flat lanes held in a pooled, thread-local [`SweepLanes`]. Repricing a
+//! design point then costs five lane lookups, the shared `AccessCounts`
+//! assembly, and the energy/runtime models; steady-state units allocate
+//! nothing.
 //!
 //! Bit-identity with the materialized chain (`LayerProfiles::build` +
 //! [`resolve_at_capacities`]) is pinned by the tests below and by the
-//! differential sweep-equivalence harness in `tests/`; counter semantics
-//! match one [`baton_mapping::decompose`] call per pushed candidate
-//! (geometry memo replay, as in the batch engine) and one penalty-counter
-//! check per scored point.
+//! differential sweep-equivalence harness; counter semantics match one
+//! [`baton_mapping::decompose()`] call per pushed candidate and one
+//! penalty-counter check per scored point.
 //!
 //! [`LayerProfiles`]: crate::evaluate::LayerProfiles
 //! [`resolve_at_capacities`]: crate::evaluate::resolve_at_capacities
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 use baton_arch::{PackageConfig, Technology};
-use baton_mapping::{
-    mapping_geometry, Dim, LoopLevel, Mapping, MappingError, MappingGeometry, NestScratch, Volumes,
-};
+use baton_mapping::{Mapping, NestScratch, Volumes};
 use baton_model::ConvSpec;
-use baton_telemetry::{count, Counter};
 
-use crate::evaluate::{price, runtime_bound, AccessCounts};
-use crate::walk::c3p_penalty_multiplier;
+use crate::evaluate::{price, runtime_bound};
+use crate::kernel::{GeomMemo, Paths, Pooled, Resolved};
 
 /// Per-candidate scalar metadata, kept alongside the resolved lanes.
 #[derive(Debug, Clone, Copy)]
@@ -82,9 +74,8 @@ pub struct SweepLanes {
     dram_weight: Vec<u64>,
     /// Ring (D2D) weight traffic per W-L1 rung (stride `w_l1.len()`).
     d2d_weight: Vec<u64>,
-    /// Geometry memo, indexed by the enumerator's dense `geom_id` (grown on
-    /// demand — the streaming visitor does not know the id count up front).
-    geoms: Vec<Option<Result<MappingGeometry, MappingError>>>,
+    /// Geometry memo of the current unit.
+    pub(crate) geoms: GeomMemo,
     /// Reusable nest/footprint buffers for the resolution walks.
     nest: NestScratch,
 }
@@ -119,31 +110,6 @@ impl SweepLanes {
         self.meta.is_empty()
     }
 
-    /// Memo lookup with per-candidate counter replay: bumps
-    /// `DecomposeCalls` always and the specific reject counter on `Err`,
-    /// exactly like one [`baton_mapping::decompose`] call would.
-    fn geometry(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        mapping: &Mapping,
-        geom_id: u32,
-    ) -> Result<MappingGeometry, MappingError> {
-        count(Counter::DecomposeCalls);
-        let idx = geom_id as usize;
-        if idx >= self.geoms.len() {
-            self.geoms.resize(idx + 1, None);
-        }
-        let slot = &mut self.geoms[idx];
-        let res = *slot.get_or_insert_with(|| mapping_geometry(layer, arch, mapping));
-        if baton_telemetry::enabled() {
-            if let Err(e) = res {
-                count(e.counter());
-            }
-        }
-        res
-    }
-
     /// Decomposes one enumerated candidate (through the geometry memo) and
     /// resolves its capacity-dependent paths at every ladder rung. Returns
     /// `false` if the mapping is illegal for the layer/machine pair.
@@ -161,78 +127,26 @@ impl SweepLanes {
         a_l1_floor: u64,
         o_l2_floor: u64,
     ) -> bool {
-        let Ok(geom) = self.geometry(layer, arch, mapping, geom_id) else {
+        let Ok(geom) = self.geoms.get(layer, arch, mapping, geom_id) else {
             return false;
         };
-        let (v, rotate_inputs, rotate_weights) = geom.volumes_for(mapping.rotation);
-        geom.build_nest_into(
-            layer,
-            mapping,
-            rotate_inputs,
-            rotate_weights,
-            &mut self.nest,
-        );
-        let loops = &self.nest.loops;
-        let n_p = u64::from(geom.n_p()).max(1);
-        let rot_pos = loops.iter().position(|l| l.level == LoopLevel::Rotation);
-        // Home-slice tier: above the rotation loop only `1/N_P` of the
-        // shared working set must stay resident to avoid DRAM reloads (the
-        // slicing rule of `LayerProfiles::build`, applied lazily).
-        let cut = rot_pos.map(|p| p + 1).unwrap_or(0);
-        let sliced = |fp: &[u64], rotated: bool, i: usize| -> u64 {
-            if rotated && i >= cut {
-                fp[i] / n_p
-            } else {
-                fp[i]
-            }
-        };
-
-        for &a_l2 in &self.a_l2 {
-            let cap = a_l2 * 8;
-            self.dram_input
-                .push(v.dram_input_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| sliced(&self.nest.chiplet_input, rotate_inputs, i),
-                    Dim::input_relevant,
-                    cap,
-                )));
-            self.d2d_input
-                .push(v.d2d_input_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.chiplet_input[i],
-                    Dim::input_relevant,
-                    cap,
-                )));
-        }
-        for &a_l1 in &self.a_l1 {
-            self.a_l2_read
-                .push(v.a_l2_read_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.core_input[i],
-                    Dim::input_relevant,
-                    a_l1 * 8,
-                )));
-        }
+        let paths = Paths::build(&mut self.nest, layer, mapping, &geom);
         let plane_ways = u64::from(geom.plane_ways());
-        for &w_l1 in &self.w_l1 {
-            let w_eff = plane_ways * w_l1 * 8;
-            self.dram_weight
-                .push(v.dram_weight_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| sliced(&self.nest.stream_weight, rotate_weights, i),
-                    Dim::weight_relevant,
-                    w_eff,
-                )));
-            self.d2d_weight
-                .push(v.d2d_weight_base.saturating_mul(c3p_penalty_multiplier(
-                    loops,
-                    |i| self.nest.stream_weight[i],
-                    Dim::weight_relevant,
-                    w_eff,
-                )));
+        for &cap in &self.a_l2 {
+            let (dram, d2d) = paths.inputs(cap * 8);
+            self.dram_input.push(dram);
+            self.d2d_input.push(d2d);
+        }
+        for &cap in &self.a_l1 {
+            self.a_l2_read.push(paths.a_l2_read(cap * 8));
+        }
+        for &cap in &self.w_l1 {
+            let (dram, d2d) = paths.weights(plane_ways * cap * 8);
+            self.dram_weight.push(dram);
+            self.d2d_weight.push(d2d);
         }
         self.meta.push(CandMeta {
-            v,
+            v: paths.v,
             fill_streams: u64::from(geom.weight_streams()),
             plane_ways,
             compute_cycles: geom.compute_cycles(),
@@ -299,40 +213,16 @@ impl SweepLanes {
         if self.min_w_bits > eff_w {
             return None;
         }
-        let v = &m.v;
-        let dram_input_bits = self.dram_input[i * self.a_l2.len() + a2];
-        let d2d_input = self.d2d_input[i * self.a_l2.len() + a2];
-        let a_l2_fill = dram_input_bits + d2d_input;
-        let a_l2_read = self.a_l2_read[i * self.a_l1.len() + a1];
-        let a_l1_fill = a_l2_read * m.fill_streams;
-        let dram_weight_bits = self.dram_weight[i * self.w_l1.len() + w1];
-        let d2d_weight = self.d2d_weight[i * self.w_l1.len() + w1];
-        let w_l1_fill = dram_weight_bits + d2d_weight;
-
-        if baton_telemetry::enabled() {
-            if dram_input_bits > v.dram_input_base {
-                count(Counter::PenaltyAL2);
-            }
-            if a_l2_read > v.a_l2_read_base {
-                count(Counter::PenaltyAL1);
-            }
-            if dram_weight_bits > v.dram_weight_base {
-                count(Counter::PenaltyWL1);
-            }
-        }
-
-        let access = AccessCounts {
-            dram_input_bits,
-            dram_weight_bits,
-            dram_output_bits: v.dram_output,
-            d2d_bits: d2d_input + d2d_weight,
-            a_l2_bits: a_l2_fill + a_l2_read,
-            o_l2_bits: v.o_l2_write + v.o_l2_read,
-            a_l1_bits: a_l1_fill + v.a_l1_read,
-            w_l1_bits: w_l1_fill + v.w_l1_read,
-            o_l1_rmw_bits: v.o_l1_rmw,
-            mac_ops: v.mac_ops,
+        let (na1, nw1, na2) = (self.a_l1.len(), self.w_l1.len(), self.a_l2.len());
+        let resolved = Resolved {
+            inputs: (self.dram_input[i * na2 + a2], self.d2d_input[i * na2 + a2]),
+            a_l2_read: self.a_l2_read[i * na1 + a1],
+            weights: (
+                self.dram_weight[i * nw1 + w1],
+                self.d2d_weight[i * nw1 + w1],
+            ),
         };
+        let access = resolved.access_counts(&m.v, m.fill_streams);
         let energy = price(&access, arch, tech);
         let (cycles, _) = runtime_bound(m.compute_cycles, &access, arch, tech);
         Some((energy.total_pj(), cycles))
@@ -349,45 +239,15 @@ thread_local! {
 
 /// A [`SweepLanes`] checked out of the thread-local pool; returns itself on
 /// drop.
-#[derive(Debug)]
-pub struct PooledLanes {
-    inner: Option<SweepLanes>,
-}
-
-impl Deref for PooledLanes {
-    type Target = SweepLanes;
-    fn deref(&self) -> &SweepLanes {
-        self.inner.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledLanes {
-    fn deref_mut(&mut self) -> &mut SweepLanes {
-        self.inner.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledLanes {
-    fn drop(&mut self) {
-        if let Some(s) = self.inner.take() {
-            // `try_with`: the pool may already be gone during thread
-            // teardown, in which case the lanes are simply freed.
-            let _ = LANES_POOL.try_with(|p| p.borrow_mut().push(s));
-        }
-    }
-}
+pub type PooledLanes = Pooled<SweepLanes>;
 
 /// Checks a lane set out of the thread-local pool (allocating a fresh one
 /// only if the pool is empty) and installs the unit's capacity ladders
 /// (bytes) and minimum stream width (`lanes * vector * 8` bits).
 pub fn sweep_lanes_for(a_l1: &[u64], w_l1: &[u64], a_l2: &[u64], min_w_bits: u64) -> PooledLanes {
-    let mut s = LANES_POOL
-        .try_with(|p| p.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
+    let mut s = Pooled::take(&LANES_POOL);
     s.reset(a_l1, w_l1, a_l2, min_w_bits);
-    PooledLanes { inner: Some(s) }
+    s
 }
 
 #[cfg(test)]

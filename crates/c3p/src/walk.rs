@@ -84,7 +84,7 @@ pub fn c3p_breakpoints(
 /// filter condition — so filtering regions in walk order here yields the
 /// identical u64 (multiplication is commutative). The unit tests pin this
 /// against the materialized pipeline on the paper's Figure 6 examples.
-pub fn c3p_penalty_multiplier(
+pub(crate) fn c3p_penalty_multiplier(
     loops: &[Loop],
     footprint: impl Fn(usize) -> u64,
     relevant: impl Fn(Dim) -> bool,

@@ -13,6 +13,13 @@
 //! across repeated searches on a single worker thread and divide by the
 //! evaluations counted. Single-threaded, so the measurement covers the
 //! whole search — no churn hides on pool threads.
+//!
+//! Both steady-state gates read the process-global ledger and counters and
+//! both set the global worker count, so they hold [`SERIAL`] while they
+//! run: under the default parallel test runner one gate's allocations
+//! would otherwise land in the other's measurement window.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use baton_arch::{presets, Technology};
 use baton_c3p::{search_layer, sweep_lanes_for, Objective};
@@ -46,6 +53,14 @@ const ALLOCS_PER_EVAL_BUDGET: f64 = 50.0;
 /// paid ~15 allocations per candidate just building profiles).
 const SWEEP_ALLOCS_PER_POINT_BUDGET: f64 = 5.0;
 
+/// Serializes the tests that measure process-global state.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a sibling's failed assertion must not poison it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn bench_layer() -> ConvSpec {
     // AlexNet conv2-shaped: big enough for a few thousand evaluations,
     // small enough that five repeats stay under a second in debug builds.
@@ -54,6 +69,7 @@ fn bench_layer() -> ConvSpec {
 
 #[test]
 fn steady_state_search_stays_within_the_allocation_budget() {
+    let _serial = serial();
     // One worker: the sequential fast path runs the whole search on this
     // thread, so the process-global ledger delta is exactly the search's.
     baton_parallel::configure_threads(Some(1));
@@ -108,6 +124,7 @@ fn steady_state_sweep_repricing_stays_within_the_allocation_budget() {
     // the pool, push every enumerated candidate, score the full memory
     // grid. A "point" is one `(A-L1, W-L1, A-L2)` cell, the unit of the
     // pre-design sweep's `sweep_points` counter.
+    let _serial = serial();
     baton_parallel::configure_threads(Some(1));
     let _session = baton_telemetry::attach_with_sink(&Default::default(), None);
 

@@ -13,8 +13,10 @@
 //! `SearchError`.
 
 use baton_arch::{presets, PackageConfig, Technology};
-use baton_c3p::{search_layer_reference, search_layer_with, Objective};
-use baton_mapping::enumerate::EnumOptions;
+use baton_c3p::{
+    evaluate, search_layer_k_best, search_layer_reference, search_layer_with, Evaluation, Objective,
+};
+use baton_mapping::enumerate::{candidates, EnumOptions};
 use baton_mapping::RotationMode;
 use baton_model::ConvSpec;
 use proptest::prelude::*;
@@ -114,6 +116,39 @@ proptest! {
                     "feasibility disagreement: reference={:?} k_best={:?}",
                     w.is_ok(), g.is_ok()
                 ),
+            }
+        }
+    }
+
+    #[test]
+    fn k_best_ranking_matches_a_stable_sort_of_the_scalar_scan(
+        layer in layers(),
+        obj_idx in 0usize..3,
+        k in 1usize..=12,
+    ) {
+        // The whole ranking, not just its head: every feasible candidate
+        // scored through the materialized chain in candidate order, then
+        // stably sorted (ties keep candidate order) and truncated to `k`.
+        let (arch, tech) = setup();
+        let objective = OBJECTIVES[obj_idx];
+        let mut scan: Vec<(f64, Evaluation)> = candidates(&layer, &arch)
+            .iter()
+            .filter_map(|m| evaluate(&layer, &arch, &tech, m).ok())
+            .map(|ev| (objective.score(&ev, &tech), ev))
+            .collect();
+        scan.sort_by(|a, b| a.0.total_cmp(&b.0));
+        scan.truncate(k);
+        let want: Vec<Evaluation> = scan.into_iter().map(|(_, ev)| ev).collect();
+        for threads in [1usize, 4] {
+            baton_parallel::configure_threads(Some(threads));
+            let got = search_layer_k_best(&layer, &arch, &tech, objective, k);
+            baton_parallel::configure_threads(None);
+            match got {
+                Ok(got) => prop_assert_eq!(
+                    &want, &got,
+                    "threads={} objective={:?} k={}", threads, objective, k
+                ),
+                Err(_) => prop_assert!(want.is_empty(), "k-best found nothing, the scan did"),
             }
         }
     }
