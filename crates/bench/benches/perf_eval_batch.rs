@@ -2,21 +2,19 @@
 //! engine against the scalar reference scan — the speedup figure the
 //! `results/BENCH_soa.json` CI gate pins at the macro level.
 //!
-//! Three views of the same AlexNet conv2-shaped layer:
+//! Two views of the same AlexNet conv2-shaped layer:
 //!
 //! * `eval_batch_search` — the production path: visitor enumeration into
 //!   reused buffers, geometry memo, SoA floor lanes, streaming penalty
 //!   resolution, branch-and-bound pruning;
 //! * `eval_scalar_reference` — one `decompose` + materialized profile
-//!   build per candidate, no pruning (the pre-batch engine's cost shape);
-//! * `eval_batch_k_best` — the no-pruning batched path, isolating the
-//!   memo + zero-allocation win from the branch-and-bound win.
+//!   build per candidate, no pruning (the pre-batch engine's cost shape).
 //!
 //! Thread count follows `BATON_THREADS`; run with `BATON_THREADS=1` for
 //! the steady-state single-worker comparison the allocation gate measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nn_baton::c3p::{search_layer_k_best, search_layer_reference};
+use nn_baton::c3p::search_layer_reference;
 use nn_baton::mapping::enumerate::EnumOptions;
 use nn_baton::model::ConvSpec;
 use nn_baton::prelude::*;
@@ -55,21 +53,5 @@ fn bench_scalar_reference(c: &mut Criterion) {
     });
 }
 
-/// The batched engine with pruning disabled (every feasible candidate
-/// evaluated): memoization + streaming resolve in isolation.
-fn bench_batch_k_best(c: &mut Criterion) {
-    let (arch, tech, layer) = setup();
-    c.bench_function("eval_batch_k_best", |b| {
-        b.iter(|| {
-            search_layer_k_best(black_box(&layer), &arch, &tech, Objective::Energy, 1).unwrap()
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_batch_search,
-    bench_scalar_reference,
-    bench_batch_k_best
-);
+criterion_group!(benches, bench_batch_search, bench_scalar_reference);
 criterion_main!(benches);

@@ -10,15 +10,20 @@
 //!    for its up-to-8 order/rotation siblings) and fills flat status and
 //!    floor lanes with [`Floors::from_volumes`], the same `f64` path the
 //!    scalar search uses, so prune decisions are bit-identical.
-//! 2. **Phase B** prunes against the shared incumbent in candidate order
-//!    and evaluates survivors with the shared C³P kernel ([`Paths`]) at the
-//!    machine's capacities, with zero allocation.
+//! 2. **Phase B** walks the lanes in candidate order, prunes against the
+//!    shared `k`-th-best bound and evaluates survivors with the shared C³P
+//!    kernel ([`Paths`]) at the machine's capacities, with zero allocation
+//!    beyond the chunk's bounded top-`k` list.
+//!
+//! The winner-only search is the `k = 1` case, where the bound is the
+//! incumbent best score.
 //!
 //! Counter semantics match the scalar path exactly at one thread:
 //! `DecomposeCalls` and the reject counters are bumped per *candidate*,
-//! `Evaluations`/`BestImprovements`/penalty counters fire per evaluated
-//! survivor, and prune checks observe the shared incumbent at the same
-//! point in candidate order as the scalar scan.
+//! `Evaluations`/penalty counters fire per evaluated survivor,
+//! `BestImprovements` fires when the shared bound strictly improves, and
+//! prune checks observe the shared bound at the same point in candidate
+//! order as the scalar scan.
 
 use std::cell::RefCell;
 
@@ -46,6 +51,8 @@ pub(crate) struct BatchScratch {
     status: Vec<u8>,
     /// Per-candidate lane: the branch-and-bound floor score (lower bound).
     floor_score: Vec<f64>,
+    /// The running top-`k` list of the current chunk, best first.
+    top: Vec<(f64, Evaluation)>,
     /// Reusable nest/footprint buffers for the evaluation walk.
     nest: NestScratch,
 }
@@ -53,33 +60,29 @@ pub(crate) struct BatchScratch {
 /// Aggregated result of one chunk of candidates.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkOutcome {
-    /// Best `(score, evaluation)` in this chunk, earliest candidate wins
-    /// score ties (the cross-chunk ordered reduce extends that rule).
-    pub(crate) best: Option<(f64, Evaluation)>,
+    /// The chunk's `k` best `(score, evaluation)` pairs that still tie or
+    /// beat the shared bound when the chunk ends, best first, score ties in
+    /// candidate order (the cross-chunk ordered merge plus a stable sort
+    /// extends that rule).
+    pub(crate) top: Vec<(f64, Evaluation)>,
     /// Candidates that were evaluated (decomposable, not pruned).
     pub(crate) feasible: u64,
-    /// Candidates discarded because their floor exceeded the incumbent.
+    /// Candidates discarded because their floor exceeded the bound.
     pub(crate) pruned: u64,
 }
 
 impl BatchScratch {
-    /// Branch-and-bound scan of one candidate chunk.
-    ///
-    /// Phase A fills the status/floor lanes (geometry memo + shared floor
-    /// math); phase B walks the lanes in candidate order, pruning against
-    /// the shared `incumbent` and evaluating survivors with the streaming
-    /// resolver. `geom_ids[i]` must be the enumerator's id for `cands[i]`.
-    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
-    pub(crate) fn evaluate_chunk(
+    /// Phase A: resolves each candidate's geometry through the memo and
+    /// fills the status lane (`1` legal, `0` rejected) and the floor lane.
+    fn fill_lanes(
         &mut self,
         layer: &ConvSpec,
         arch: &PackageConfig,
         tech: &Technology,
         objective: Objective,
-        incumbent: &AtomicBest,
         cands: &[Mapping],
         geom_ids: &[u32],
-    ) -> ChunkOutcome {
+    ) {
         debug_assert_eq!(cands.len(), geom_ids.len());
         self.status.clear();
         self.floor_score.clear();
@@ -103,56 +106,72 @@ impl BatchScratch {
                 }
             }
         }
+    }
 
+    /// Bounded, floor-pruned top-`k` scan of one candidate chunk.
+    ///
+    /// Phase A fills the status/floor lanes; phase B walks them in
+    /// candidate order and keeps a sorted top-`k` list. Once the list holds
+    /// `k` entries its `k`-th score is offered to the shared `bound`, and a
+    /// candidate whose floor is strictly above the bound is skipped: it
+    /// scores worse than `k` evaluated candidates, so it cannot rank in the
+    /// global top `k`. Ties are never pruned, so the result is exact.
+    /// `geom_ids[i]` must be the enumerator's id for `cands[i]`; `k >= 1`.
+    #[allow(clippy::too_many_arguments)] // the full search context, passed flat
+    pub(crate) fn top_k_chunk(
+        &mut self,
+        layer: &ConvSpec,
+        arch: &PackageConfig,
+        tech: &Technology,
+        objective: Objective,
+        k: usize,
+        bound: &AtomicBest,
+        cands: &[Mapping],
+        geom_ids: &[u32],
+    ) -> ChunkOutcome {
+        debug_assert!(k >= 1);
+        self.fill_lanes(layer, arch, tech, objective, cands, geom_ids);
+        self.top.clear();
         let mut out = ChunkOutcome::default();
         for (i, m) in cands.iter().enumerate() {
             if self.status[i] == 0 {
                 continue;
             }
-            // Strict `>`: a floor that merely ties the incumbent may still
-            // BE the incumbent-quality candidate (floors are exact when no
-            // capacity penalty triggers).
-            if self.floor_score[i] > incumbent.get() {
+            // Strict `>`: a floor that merely ties the bound may still tie
+            // the `k`-th candidate (floors are exact when no capacity
+            // penalty triggers), and ties rank by candidate index.
+            if self.floor_score[i] > bound.get() {
                 out.pruned += 1;
                 continue;
             }
             let geom = self.geoms.resolved(geom_ids[i]);
             let ev = evaluate_streaming(&mut self.nest, layer, arch, tech, m, &geom);
             let score = objective.score(&ev, tech);
-            let prev = incumbent.offer(score);
-            if score < prev {
-                count(Counter::BestImprovements);
-            }
             out.feasible += 1;
-            // Strict `<`: first candidate index wins ties, exactly like the
-            // sequential scan.
-            if out.best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                out.best = Some((score, ev));
+            // After every equal score: earlier candidates win ties.
+            let pos = self
+                .top
+                .partition_point(|(s, _)| s.total_cmp(&score).is_le());
+            if pos >= k {
+                continue;
+            }
+            self.top.insert(pos, (score, ev));
+            self.top.truncate(k);
+            if self.top.len() == k {
+                let kth = self.top[k - 1].0;
+                if kth < bound.offer(kth) {
+                    count(Counter::BestImprovements);
+                }
             }
         }
-        out
-    }
-
-    /// Evaluates every decomposable candidate in the chunk (no pruning —
-    /// the k-best ranking needs all feasible scores), returning
-    /// `(score, evaluation)` pairs in candidate order.
-    pub(crate) fn evaluate_all(
-        &mut self,
-        layer: &ConvSpec,
-        arch: &PackageConfig,
-        tech: &Technology,
-        objective: Objective,
-        cands: &[Mapping],
-        geom_ids: &[u32],
-    ) -> Vec<(f64, Evaluation)> {
-        debug_assert_eq!(cands.len(), geom_ids.len());
-        let mut out = Vec::new();
-        for (m, &gid) in cands.iter().zip(geom_ids) {
-            if let Ok(geom) = self.geoms.get(layer, arch, m, gid) {
-                let ev = evaluate_streaming(&mut self.nest, layer, arch, tech, m, &geom);
-                out.push((objective.score(&ev, tech), ev));
-            }
-        }
+        // An entry strictly worse than the bound cannot rank: `k` evaluated
+        // candidates beat it. A chunk left with nothing allocates nothing.
+        let final_bound = bound.get();
+        out.top = self
+            .top
+            .drain(..)
+            .filter(|(s, _)| *s <= final_bound)
+            .collect();
         out
     }
 }
@@ -267,6 +286,45 @@ mod tests {
             }
         }
         assert!(penalized > 0, "starved machine should trigger penalties");
+    }
+
+    #[test]
+    fn candidates_tying_the_bound_are_never_pruned() {
+        // Another chunk may publish a k-th score that a candidate here
+        // merely ties; an earlier candidate still ranks ahead of that
+        // chunk's entries, so the prune must be strict. Under the runtime
+        // objective the fastest candidates sit exactly on their floors,
+        // so a seeded bound at the k-th score must change nothing.
+        let arch = presets::case_study_accelerator();
+        let tech = Technology::paper_16nm();
+        let layer = ConvSpec::new("tiny", 14, 14, 32, 3, 1, 1, 64).unwrap();
+        let (mut cands, mut ids) = (Vec::new(), Vec::new());
+        enumerate_into(&layer, &arch, EnumOptions::default(), &mut cands, &mut ids);
+        let k = 4;
+        let scan = |scratch: &mut BatchScratch, bound: &AtomicBest| {
+            scratch.top_k_chunk(
+                &layer,
+                &arch,
+                &tech,
+                Objective::Runtime,
+                k,
+                bound,
+                &cands,
+                &ids,
+            )
+        };
+        let mut scratch = scratch_for();
+        let free = scan(&mut scratch, &AtomicBest::new());
+        assert_eq!(free.top.len(), k);
+        let kth = free.top[k - 1].0;
+        let on_floor = scratch.floor_score.iter().filter(|&&f| f == kth).count();
+        assert!(on_floor > k, "only {on_floor} floors tie the k-th score");
+
+        let bound = AtomicBest::new();
+        bound.offer(kth);
+        let seeded = scan(&mut scratch, &bound);
+        assert_eq!(free.top, seeded.top);
+        assert!(seeded.pruned > 0, "the seeded bound must prune something");
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! struct-of-arrays engine (`crate::batch`): candidates are enumerated
 //! into reusable thread-local buffers, fanned out in chunks over
 //! [`baton_parallel::map_chunks`] workers that share one [`AtomicBest`]
-//! incumbent, and each worker's pooled batch scratch memoizes
-//! geometry per `geom_id` and prunes candidates whose
-//! [`Floors`](crate::bounds::Floors) lower bound already scores worse than
-//! the incumbent. All mechanisms are exact — the floor never exceeds the
-//! true score and the ordered reduce breaks ties by candidate index — so
-//! the result is bit-identical to [`search_layer_reference`], the plain
-//! scalar scan, for any thread count.
+//! bound — the `k`-th best score seen by any chunk, the incumbent when
+//! `k = 1` — and each worker's pooled batch scratch memoizes geometry per
+//! `geom_id` and prunes candidates whose
+//! [`Floors`](crate::bounds::Floors) lower bound already scores strictly
+//! worse than that bound. All mechanisms are exact — the floor never
+//! exceeds the true score, ties are never pruned, and the ordered merge
+//! breaks ties by candidate index — so the winner is bit-identical to
+//! [`search_layer_reference`], the plain scalar scan, and the `k`-best
+//! ranking to a stable score sort of that scan, for any thread count.
 
 use std::cell::Cell;
 use std::fmt;
@@ -159,35 +161,46 @@ pub fn search_layer_with(
     objective: Objective,
     opts: EnumOptions,
 ) -> Result<Evaluation, SearchError> {
+    let mut top = ranked(layer, arch, tech, objective, opts, 1)?;
+    Ok(top.swap_remove(0).1)
+}
+
+/// The bounded branch-and-bound behind both entry points: the `k >= 1`
+/// best `(score, evaluation)` pairs, best first, score ties in candidate
+/// order. Never empty on `Ok`.
+fn ranked(
+    layer: &ConvSpec,
+    arch: &PackageConfig,
+    tech: &Technology,
+    objective: Objective,
+    opts: EnumOptions,
+    k: usize,
+) -> Result<Vec<(f64, Evaluation)>, SearchError> {
     let sp = span_labeled("search_layer", || layer.name().to_string());
     let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    let incumbent = AtomicBest::new();
-    // Chunk outcomes come back in input order; each carries its own
-    // first-wins best, so the ordered reduce below recovers the global
-    // earliest-index argmin exactly like a sequential scan.
+    let bound = AtomicBest::new();
     let (n, outcomes) = fan_out(layer, arch, opts, |scratch, cands, geom_ids| {
-        scratch.evaluate_chunk(layer, arch, tech, objective, &incumbent, cands, geom_ids)
+        scratch.top_k_chunk(layer, arch, tech, objective, k, &bound, cands, geom_ids)
     });
 
     let (mut feasible, mut pruned) = (0u64, 0u64);
-    let mut best: Option<(f64, Evaluation)> = None;
+    let mut top: Vec<(f64, Evaluation)> = Vec::new();
     for o in outcomes {
         feasible += o.feasible;
         pruned += o.pruned;
-        if let Some((score, ev)) = o.best {
-            // Strict `<`: the earliest chunk (lowest candidate index)
-            // wins ties, exactly like the sequential scan.
-            if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
-                best = Some((score, ev));
-            }
-        }
+        top.extend(o.top);
     }
+    // Chunk lists come back in candidate order, each sorted with ties in
+    // candidate order, so a stable sort ranks ties by candidate index,
+    // exactly like the sequential scan.
+    top.sort_by(|a, b| a.0.total_cmp(&b.0));
+    top.truncate(k);
     if baton_telemetry::enabled() {
         count_n(Counter::SearchPruned, pruned);
-        count(if best.is_some() {
-            Counter::SearchesCompleted
-        } else {
+        count(if top.is_empty() {
             Counter::SearchesFailed
+        } else {
+            Counter::SearchesCompleted
         });
         let mut ev = baton_telemetry::event("search_layer")
             .str("layer", layer.name())
@@ -195,16 +208,20 @@ pub fn search_layer_with(
             .u64("feasible", feasible)
             .u64("pruned", pruned)
             .u64("dur_us", sp.elapsed_us());
-        if let Some((score, _)) = &best {
+        if let Some((score, _)) = top.first() {
             ev = ev.f64("best_score", *score);
         }
         ev.emit();
     }
+    // Failed searches are timed too.
     observe_search(objective, m_t0);
-    best.map(|(_, ev)| ev).ok_or_else(|| SearchError {
-        layer: layer.name().to_string(),
-        candidates: n,
-    })
+    if top.is_empty() {
+        return Err(SearchError {
+            layer: layer.name().to_string(),
+            candidates: n,
+        });
+    }
+    Ok(top)
 }
 
 /// The scalar reference search: a plain first-wins sequential scan with no
@@ -249,11 +266,15 @@ pub fn search_layer_reference(
 /// for robustness studies (how much worse is the runner-up?) and for
 /// handing a compiler several near-optimal schedules to choose from.
 ///
-/// Candidates are evaluated in parallel over the same chunked batch-engine
-/// fan-out the winner-only search uses (no incumbent pruning: every
-/// feasible score is needed for the ranking). The ordered reduce plus a
-/// stable sort on exact scores keeps the ranking bit-identical to the
+/// Runs the winner-only search's branch-and-bound with a `k`-th-best bound
+/// instead of the incumbent: each chunk keeps a sorted top-`k` list and
+/// skips candidates whose floor scores strictly worse than the `k`-th best
+/// score any chunk has seen, so only a bounded list is ever materialized.
+/// A pruned candidate scores strictly worse than `k` evaluated ones, and
+/// ties are never pruned, so the ordered merge plus a stable sort on exact
+/// scores keeps the ranking bit-identical to a stable sort of the
 /// sequential scan — ties stay in candidate order — for any thread count.
+/// `k = 0` is treated as 1.
 ///
 /// # Errors
 ///
@@ -265,28 +286,15 @@ pub fn search_layer_k_best(
     objective: Objective,
     k: usize,
 ) -> Result<Vec<Evaluation>, SearchError> {
-    let _sp = span_labeled("search_layer", || layer.name().to_string());
-    let m_t0 = baton_telemetry::metrics::enabled().then(std::time::Instant::now);
-    let (n, evaluated) = fan_out(
+    let top = ranked(
         layer,
         arch,
+        tech,
+        objective,
         EnumOptions::default(),
-        |scratch, cands, ids| scratch.evaluate_all(layer, arch, tech, objective, cands, ids),
-    );
-    let mut scored: Vec<(f64, Evaluation)> = evaluated.into_iter().flatten().collect();
-    let ranked = if scored.is_empty() {
-        Err(SearchError {
-            layer: layer.name().to_string(),
-            candidates: n,
-        })
-    } else {
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.truncate(k.max(1));
-        Ok(scored.into_iter().map(|(_, ev)| ev).collect())
-    };
-    // Failed searches are timed too, as in `search_layer_with`.
-    observe_search(objective, m_t0);
-    ranked
+        k.max(1),
+    )?;
+    Ok(top.into_iter().map(|(_, ev)| ev).collect())
 }
 
 fn try_evaluate(

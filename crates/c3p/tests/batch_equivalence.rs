@@ -94,8 +94,8 @@ proptest! {
     fn k_best_head_matches_the_reference_winner(
         layer in layers(),
     ) {
-        // The k-best path shares the batch engine without pruning; its head
-        // must be the reference winner whenever one exists.
+        // The k-best path shares the batch engine with a k-th-best bound;
+        // its head must be the reference winner whenever one exists.
         let (arch, tech) = setup();
         let objective = Objective::Energy;
         let want = search_layer_reference(
@@ -151,6 +151,33 @@ proptest! {
                 Err(_) => prop_assert!(want.is_empty(), "k-best found nothing, the scan did"),
             }
         }
+    }
+}
+
+/// The bounded k-best prunes only candidates whose floor is strictly above
+/// the shared k-th score. Under the runtime objective thousands of
+/// candidates share the fastest cycle count and sit exactly on their
+/// floors, so ranks `k` and `k + 1` tie; the ranking must still equal a
+/// stable sort of the scalar scan, ties in candidate order.
+#[test]
+fn k_best_keeps_candidate_order_across_a_runtime_tie_at_rank_k() {
+    let (arch, tech) = setup();
+    let layer = ConvSpec::new("tiny", 14, 14, 32, 3, 1, 1, 64).unwrap();
+    let (objective, k) = (Objective::Runtime, 8);
+    let mut scan: Vec<(f64, Evaluation)> = candidates(&layer, &arch)
+        .iter()
+        .filter_map(|m| evaluate(&layer, &arch, &tech, m).ok())
+        .map(|ev| (objective.score(&ev, &tech), ev))
+        .collect();
+    scan.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!(scan[k - 1].0, scan[k].0, "ranks k and k + 1 must tie");
+    scan.truncate(k);
+    let want: Vec<Evaluation> = scan.into_iter().map(|(_, ev)| ev).collect();
+    for threads in [1usize, 4] {
+        baton_parallel::configure_threads(Some(threads));
+        let got = search_layer_k_best(&layer, &arch, &tech, objective, k);
+        baton_parallel::configure_threads(None);
+        assert_eq!(Ok(want.clone()), got, "threads={threads}");
     }
 }
 

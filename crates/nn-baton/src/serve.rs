@@ -44,8 +44,8 @@
 //! of letting accepts pile up — back-pressure is visible in
 //! `baton_parallel_queue_depth{queue="http"}` before the first rejection.
 //!
-//! `POST /quitquitquit` (or [`request_shutdown`] from a signal handler)
-//! starts a **graceful drain**: the acceptor stops accepting (subsequent
+//! `POST /quitquitquit` (or [`request_shutdown`] from any thread) starts a
+//! **graceful drain**: the acceptor stops accepting (subsequent
 //! connects are refused), `/readyz` flips to 503 `draining` so load
 //! balancers stop routing here, queued and in-flight requests complete,
 //! workers exit, and a final metrics snapshot is flushed before [`serve`]
@@ -73,7 +73,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,9 +108,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// `Retry-After` seconds answered with a 429 when the queue is full.
 const RETRY_AFTER_SECS: u32 = 1;
 
-/// How often the (non-blocking) acceptor polls between connections — the
-/// latency ceiling on noticing a drain request.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept` (say, out of
+/// file descriptors) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Deadline on the loopback connect that wakes a blocked acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 const REQUESTS_TOTAL: &str = "baton_http_requests_total";
 const REQUESTS_HELP: &str = "HTTP requests served, by canonical path and status code.";
@@ -495,15 +498,39 @@ pub fn cache_key_for(endpoint: &str, body: &str) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 
 /// Process-wide drain flag: set by `POST /quitquitquit` or
-/// [`request_shutdown`] (e.g. from a supervisor's signal hook).
+/// [`request_shutdown`].
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+/// Where a drain connects to wake the acceptor out of its blocking
+/// `accept`: the running [`serve`] loop's bound address, with an
+/// unspecified IP mapped to loopback. `None` while no loop is accepting.
+static WAKE_ADDR: Mutex<Option<SocketAddr>> = Mutex::new(None);
 
 /// Asks a running [`serve`] loop to drain and return: stop accepting,
 /// finish queued and in-flight requests, flush a final metrics snapshot.
-/// Safe to call from any thread (it only stores an atomic flag, so it is
-/// async-signal-safe enough for a signal-handler shim).
+/// Safe to call from any thread. It sets the drain flag, then opens (and
+/// drops) one loopback connection to the bound address so the acceptor,
+/// blocked in `accept`, wakes up and sees the flag. It takes a lock and
+/// connects a socket, so it is not async-signal-safe: a signal handler
+/// should only set a flag of its own and let a normal thread call this.
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::Release);
+    let addr = *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(addr) = addr {
+        // Refused or timed out means the acceptor is already gone.
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+    }
+}
+
+/// The address a wake-up connect should dial for a listener bound to
+/// `local`: an unspecified IP (`0.0.0.0`, `::`) is reachable on loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 fn shutting_down() -> bool {
@@ -528,17 +555,19 @@ struct ServerState {
 struct Response {
     status: u16,
     content_type: &'static str,
-    body: String,
+    /// Shared with the response cache: a hit hands out the cached bytes
+    /// without copying them.
+    body: Arc<String>,
     /// 429s advertise when to come back.
     retry_after: Option<u32>,
 }
 
 impl Response {
-    fn json(status: u16, body: String) -> Self {
+    fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body,
+            body: body.into(),
             retry_after: None,
         }
     }
@@ -682,11 +711,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    // Non-blocking accepts let the acceptor notice a drain request within
-    // ACCEPT_POLL even when no connection ever arrives to wake it.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
     let state = Arc::new(ServerState {
         started: Instant::now(),
         warm: AtomicBool::new(false),
@@ -730,7 +754,12 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
         handles.push(std::thread::spawn(move || worker_loop(&queue, &state)));
     }
 
+    // From here on a drain wakes the blocked acceptor with a loopback
+    // connect; a drain requested earlier is caught by the flag check
+    // before the first `accept`.
+    *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner) = Some(wake_addr(local));
     accept_loop(&listener, &queue);
+    *WAKE_ADDR.lock().unwrap_or_else(PoisonError::into_inner) = None;
 
     // Drain: refuse new connects immediately, let queued + in-flight
     // requests finish, then flush the final snapshot.
@@ -746,6 +775,11 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
 /// Accepts connections and hands them to the worker queue until a drain is
 /// requested, answering 429 the moment the queue is full — the acceptor
 /// never reads from a socket, so a slow client cannot stall admission.
+///
+/// `accept` blocks, so a new connection is picked up the moment it
+/// arrives. A drain wakes the acceptor with one loopback connect
+/// ([`request_shutdown`]); whatever connection it then accepts is dropped
+/// unanswered, like any connect after the drain began.
 fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<Handoff<TcpStream>>) {
     loop {
         if shutting_down() {
@@ -753,9 +787,13 @@ fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<Handoff<TcpStream>>)
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // The listener is non-blocking; the accepted socket must
-                // not be (workers use plain blocking reads + deadlines).
-                let _ = stream.set_nonblocking(false);
+                if shutting_down() {
+                    return;
+                }
+                // A reply longer than one segment still ends in a partial
+                // one, which Nagle's algorithm would hold until the client
+                // ACKs the rest — and clients delay that ACK by ~40 ms.
+                let _ = stream.set_nodelay(true);
                 // The hand-off stamps the enqueue instant, so the worker
                 // can attribute queue wait to the request's trace.
                 match queue.push(Handoff::new(stream)) {
@@ -765,12 +803,9 @@ fn accept_loop(listener: &TcpListener, queue: &BoundedQueue<Handoff<TcpStream>>)
                     Err(PushError::Closed(_)) => return,
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(e) => {
                 vlog!(2, "serve: accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
@@ -998,30 +1033,37 @@ fn log_slow_request(state: &ServerState, completed: &CompletedTrace) {
 }
 
 /// Writes status line, headers (including `Retry-After`, the request's
-/// `X-Baton-Trace-Id`, and the keep-alive/close decision), and body.
-fn write_response(
-    writer: &mut TcpStream,
+/// `X-Baton-Trace-Id`, and the keep-alive/close decision), and body as
+/// one buffer in one `write_all`: a head and body sent as two writes
+/// would leave the body to Nagle's algorithm on a socket without
+/// `TCP_NODELAY`, and to a second segment either way.
+fn write_response<W: Write>(
+    writer: &mut W,
     response: &Response,
     keep_alive: bool,
     trace_id: Option<&str>,
 ) -> std::io::Result<()> {
-    let retry = response
-        .retry_after
-        .map(|s| format!("Retry-After: {s}\r\n"))
-        .unwrap_or_default();
-    let trace = trace_id
-        .map(|id| format!("X-Baton-Trace-Id: {id}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry}{trace}Connection: {}\r\n\r\n",
+    /// Generous room for the status line and headers.
+    const HEAD_BYTES: usize = 192;
+    let mut out = Vec::with_capacity(HEAD_BYTES + response.body.len());
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
         response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(response.body.as_bytes())?;
+    )?;
+    if let Some(s) = response.retry_after {
+        write!(out, "Retry-After: {s}\r\n")?;
+    }
+    if let Some(id) = trace_id {
+        write!(out, "X-Baton-Trace-Id: {id}\r\n")?;
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n\r\n")?;
+    out.extend_from_slice(response.body.as_bytes());
+    writer.write_all(&out)?;
     writer.flush()
 }
 
@@ -1120,7 +1162,7 @@ fn dispatch(method: &str, path: &str, body: &str, state: &ServerState) -> Respon
         ("GET", "/metrics") => Response {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: expo::render(env!("CARGO_PKG_VERSION")),
+            body: Arc::new(expo::render(env!("CARGO_PKG_VERSION"))),
             retry_after: None,
         },
         ("GET", "/healthz") => {
@@ -1318,7 +1360,7 @@ fn handle_map(endpoint: &'static str, body: &str, state: &ServerState) -> Respon
             cache.get(&key)
         };
         if let Some(cached) = cached {
-            return Response::json(200, cached.as_ref().clone());
+            return Response::json(200, cached);
         }
     }
     let result = {
@@ -1329,9 +1371,10 @@ fn handle_map(endpoint: &'static str, body: &str, state: &ServerState) -> Respon
     };
     match result {
         Ok(json) => {
+            let json = Arc::new(json);
             if let Some(cache) = &state.cache {
                 let _cache_span = span("cache");
-                cache.insert(key, Arc::new(json.clone()));
+                cache.insert(key, Arc::clone(&json));
             }
             Response::json(200, json)
         }
@@ -1756,7 +1799,7 @@ mod tests {
         assert_eq!(response.status, 500);
         assert!(response.body.contains("internal error"));
         // Non-panicking handlers pass through untouched.
-        let ok = catch_panic(|| Response::json(200, "{}".into())).unwrap();
+        let ok = catch_panic(|| Response::json(200, String::from("{}"))).unwrap();
         assert_eq!(ok.status, 200);
     }
 
@@ -1877,11 +1920,75 @@ mod tests {
         let warm = handle_map("/map", reordered, &state);
         assert_eq!(warm.status, 200);
         assert_eq!(warm.body, cold.body, "cached body must be byte-identical");
+        assert!(
+            Arc::ptr_eq(&warm.body, &cold.body),
+            "a hit must hand out the cached bytes, not a copy"
+        );
         assert_eq!(state.cache.as_ref().unwrap().len(), 1);
         // Invalid models never reach the cache.
         let bad = handle_map("/map", "{\"model\": \"nope\"}", &state);
         assert_eq!(bad.status, 400);
         assert_eq!(state.cache.as_ref().unwrap().len(), 1);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_goes_out_in_one_write() {
+        let ok = Response::json(200, String::from("{\"status\":\"ok\"}\n"));
+        let cases = [
+            (&ok, true, Some("00000000000000ab")),
+            (&ok, false, None),
+            (&Response::too_many_requests(), false, None),
+        ];
+        for (response, keep_alive, trace_id) in cases {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, response, keep_alive, trace_id).unwrap();
+            assert_eq!(w.writes, 1, "status {}", response.status);
+            let text = String::from_utf8(w.bytes).unwrap();
+            let (head, body) = text.split_once("\r\n\r\n").expect("head/body separator");
+            assert!(head.starts_with(&format!("HTTP/1.1 {} ", response.status)));
+            assert!(head.contains(&format!("Content-Length: {}", body.len())));
+            assert_eq!(body, response.body.as_str());
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            assert!(
+                head.ends_with(&format!("Connection: {connection}")),
+                "{head}"
+            );
+            assert_eq!(head.contains("Retry-After: 1"), response.status == 429);
+            assert_eq!(head.contains("X-Baton-Trace-Id: "), trace_id.is_some());
+        }
+    }
+
+    #[test]
+    fn wake_address_maps_unspecified_ips_to_loopback() {
+        let cases = [
+            ("0.0.0.0:9184", "127.0.0.1:9184"),
+            ("[::]:9184", "[::1]:9184"),
+            ("127.0.0.1:80", "127.0.0.1:80"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ];
+        for (bound, dial) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound).to_string(), dial, "{bound}");
+        }
     }
 
     #[test]

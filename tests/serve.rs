@@ -357,3 +357,79 @@ fn serve_speaks_http_and_observes_itself() {
     assert_eq!(status, 404);
     assert!(body.contains("\"error\":"), "{body}");
 }
+
+/// Reads one response off a keep-alive connection; returns its status.
+fn read_keep_alive_response(reader: &mut BufReader<TcpStream>) -> u16 {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line: {status_line:?}"));
+    let mut content_length = 0usize;
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("header line");
+        if line.trim().is_empty() {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().expect("content length");
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).expect("body");
+    status
+}
+
+/// Back-to-back requests on one keep-alive connection must not wait on
+/// the client's delayed ACK (~40 ms on Linux): a reply split into a head
+/// and a body segment on a socket with Nagle's algorithm on holds the body
+/// until the head is acknowledged. Thirty round trips stay far below
+/// 30 × 40 ms.
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    let server = start_server();
+    let addr = server.addr.as_str();
+    wait_ready(addr);
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let t0 = Instant::now();
+    for _ in 0..30 {
+        writer
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("write request");
+        assert_eq!(read_keep_alive_response(&mut reader), 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "30 keep-alive round trips took {elapsed:?}"
+    );
+}
+
+/// A fresh connection is served as soon as it arrives, not at the next
+/// tick of an accept poll: fifty sequential connect-request-close cycles
+/// finish well inside one 10 ms poll interval each.
+#[test]
+fn fresh_connections_are_accepted_without_waiting() {
+    let server = start_server();
+    let addr = server.addr.as_str();
+    wait_ready(addr);
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        let (status, _, _) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "50 fresh connections took {elapsed:?}"
+    );
+}
